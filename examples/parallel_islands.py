@@ -7,7 +7,7 @@ Two ways to spend cores on the paper's method:
    parallelized over a process pool (compare serial vs parallel wall
    time for the same seeds and identical results).
 2. **Island model** — co-evolving populations exchanging their best
-   rules along a networkx topology (ring vs complete), a distributed-GA
+   rules along a migration topology (ring vs complete), a distributed-GA
    extension natural for the IPPS venue.
 
 Usage::

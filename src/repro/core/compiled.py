@@ -36,15 +36,20 @@ vectorized operations:
    the surviving pairs, then ``bincount`` reductions into per-pattern
    totals and counts.
 
-Two A/B escape hatches ride along.  ``matcher="legacy"`` keeps the
-previous single-lag-scan/pure-dense kernel generation — the staged
-matcher is property-tested bitwise-identical against it, and either
-path stays bitwise equal to the per-rule loop.  ``storage="float32"``
-(opt-in) halves the compiled pack's memory: bounds are rounded
-*outward* to ``float32`` (every float64-matched pair still matches —
-a strict superset guarantee) and coefficients round to nearest, so
-forecasts carry a documented tolerance instead of the bitwise
-contract (see :meth:`__init__`).
+One scoring path serves every caller.  :meth:`~CompiledRuleSystem.predict`
+(validated ``(n, D)`` patterns), :meth:`~CompiledRuleSystem.predict_windows`
+(the gateway's ``(k, D)`` stacks) and
+:meth:`~CompiledRuleSystem.predict_windowsT` (lag-major ``(D, cap)``
+buffers) differ only in how the caller lays out its windows: all three
+hand a lag-major view to one core, which dispatches ``k == 1`` to the
+single-pattern fast path and everything else to one block loop.  The
+only choices left are the ones the input size makes (single pattern,
+micro vs bulk blocks) plus the opt-in ``storage="float32"`` pack,
+which halves the compiled memory: bounds are rounded *outward* to
+``float32`` (every float64-matched pair still matches — a strict
+superset guarantee) and coefficients round to nearest, so forecasts
+carry a documented tolerance instead of the bitwise contract (see
+:meth:`~CompiledRuleSystem.__init__`).
 
 **Bitwise contract.**  Every floating-point operation mirrors the
 per-rule loop exactly: rule outputs accumulate intercept-first then lag
@@ -73,7 +78,7 @@ from typing import Dict, Iterable, List, Optional, Union
 import numpy as np
 
 from .matching import stack_effective_bounds
-from .predictor import PredictionBatch, rich_from_moments
+from .predictor import PredictionBatch, abstaining_batch, rich_from_moments
 from .rule import Rule
 
 __all__ = ["CompiledRuleSystem"]
@@ -101,6 +106,23 @@ def _round_bounds_up(bounds: np.ndarray) -> np.ndarray:
     return out
 
 
+def _finish_batch(
+    totals: np.ndarray,
+    counts: np.ndarray,
+    m2: Optional[np.ndarray],
+    rich: bool,
+) -> PredictionBatch:
+    """Per-pattern means (``NaN`` where no rule matched) of a scored batch."""
+    predicted = counts > 0
+    values = np.full(totals.shape[0], np.nan)
+    values[predicted] = totals[predicted] / counts[predicted]
+    if rich:
+        return rich_from_moments(values, predicted, counts, m2)
+    return PredictionBatch(
+        values=values, predicted=predicted, n_rules_used=counts
+    )
+
+
 class CompiledRuleSystem:
     """An immutable, array-packed compilation of a rule pool.
 
@@ -115,13 +137,6 @@ class CompiledRuleSystem:
         temporaries (candidate pairs, dense fallback matrix) so peak
         memory is independent of the batch size; the default keeps the
         per-lag gather working set L2-resident.
-    matcher:
-        ``"staged"`` (default) or ``"legacy"``.  The staged matcher is
-        the measured-faster generation (interval-index candidate
-        pruning at micro scale, dense-prefix + accumulate-tail at bulk
-        scale); ``"legacy"`` keeps the previous single-lag-scan/dense
-        kernel as the A/B baseline.  Both are exact — the property
-        suite holds them bitwise equal pair-for-pair.
     storage:
         ``"float64"`` (default) or ``"float32"``.  Opting into float32
         halves the compiled pack (bounds, coefficients and their
@@ -155,12 +170,7 @@ class CompiledRuleSystem:
     #: sparse verification pays ~1 ns/element for gathers, so sparse
     #: only wins while the candidate set is a small fraction of R*B.
     DENSE_SWITCH = 0.25
-    #: Legacy-matcher micro density cap: micro-blocks stay on its
-    #: sparse path up to this much higher candidate density than bulk
-    #: blocks.  Only ``matcher="legacy"`` reads this — the staged micro
-    #: kernel is dense-first (see :meth:`_micro_pairs`).
-    MICRO_DENSE_SWITCH = 0.6
-    #: Staged bulk matcher: lags walked as contiguous dense passes
+    #: Bulk matcher: lags walked as contiguous dense passes
     #: before the survivors are extracted into a pair list.  Measured
     #: sweet spot on the kernel bench: survivors shrink geometrically
     #: for ~6 selective lags (283k -> 64k of 983k possible at 240x4096)
@@ -172,10 +182,9 @@ class CompiledRuleSystem:
     #: accumulate sweep (no more pair-list rewrites).
     FULL_CHECK_BUDGET = 2_000_000
     #: Blocks of at most this many patterns (serving micro-batches, not
-    #: analysis sweeps) use micro-tuned heuristics instead: the dense
-    #: kernel is element-bound at ``R*B*D`` comparisons regardless of
-    #: block size, so small blocks prefer the pruning sparse path much
-    #: longer (see :meth:`_match_pairs`).
+    #: analysis sweeps) use the micro kernel instead: their ``(R, B)``
+    #: mask is cache resident, so an adaptive dense walk beats any
+    #: candidate index (see :meth:`_micro_pairs`).
     MICRO_BLOCK = 256
     #: Micro matcher: minimum number of most-selective lags walked as
     #: dense full-matrix passes before the adaptive exit check starts.
@@ -192,20 +201,11 @@ class CompiledRuleSystem:
     #: two shapes want different prefixes (3-4 vs 5-6) and the pricing
     #: picks per block.
     MICRO_VERIFY_BUDGET = 32_000
-    #: Legacy-matcher micro budget, *per pattern*: its per-lag
-    #: compaction keeps shrinking the pair list while the one-shot
-    #: check of the remaining lags would still touch more than this
-    #: many (lag, pair) slots per pattern.  The staged micro kernel
-    #: does not compact at all (measured slower than its one-shot
-    #: verify at micro pair counts); only ``matcher="legacy"`` reads
-    #: this.
-    MICRO_CHECK_BUDGET_PER_PATTERN = 160
 
     def __init__(
         self,
         rules: Iterable[Rule],
         block_size: int = 4096,
-        matcher: str = "staged",
         storage: str = "float64",
     ) -> None:
         pool: List[Rule] = list(rules)
@@ -213,8 +213,6 @@ class CompiledRuleSystem:
             raise ValueError("CompiledRuleSystem requires at least one rule")
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
-        if matcher not in ("staged", "legacy"):
-            raise ValueError(f"unknown matcher {matcher!r}")
         if storage not in ("float64", "float32"):
             raise ValueError(f"unknown storage {storage!r}")
         d = pool[0].n_lags
@@ -228,7 +226,6 @@ class CompiledRuleSystem:
         self.n_rules = R
         self.n_lags = d
         self.block_size = int(block_size)
-        self.matcher = matcher
         self.storage = storage
         # One shared bounds layout with the training-side stacked kernel.
         self.lo, self.hi = stack_effective_bounds(pool)
@@ -283,10 +280,6 @@ class CompiledRuleSystem:
             name: getattr(self, name) for name in self._BLOCK_ARRAYS
         }
         blocks["block_size"] = self.block_size
-        # Kernel generation travels with the pack (storage is implied
-        # by the array dtypes); absent in pre-staged exports, where
-        # from_blocks falls back to the staged default.
-        blocks["matcher"] = 1 if self.matcher == "legacy" else 0
         return blocks
 
     @classmethod
@@ -310,7 +303,6 @@ class CompiledRuleSystem:
         for name in cls._BLOCK_ARRAYS:
             setattr(self, name, np.asarray(blocks[name]))
         self.block_size = int(blocks["block_size"])
-        self.matcher = "legacy" if int(blocks.get("matcher", 0)) else "staged"
         self.storage = (
             "float32" if self.lo.dtype == np.float32 else "float64"
         )
@@ -354,37 +346,20 @@ class CompiledRuleSystem:
 
     # -- matching -----------------------------------------------------------
 
-    def _dense_pairs(self, blkT: np.ndarray, n_block: int):
-        """(rule, pattern) pairs via the dense stacked-bounds kernel.
-
-        Same shape as :func:`population_match_matrix_stacked`, walked
-        lag-major so the working set is one ``(R, B)`` boolean matrix.
-        """
-        M = np.ones((self.n_rules, n_block), dtype=bool)
-        for j in self._lag_order:
-            col = blkT[j]
-            np.logical_and(M, col >= self._loT[j][:, None], out=M)
-            np.logical_and(M, col <= self._hiT[j][:, None], out=M)
-        return self._unravel_pairs(M, n_block)
-
     def _match_pairs(self, blkT: np.ndarray, n_block: int):
         """All matching (rule, pattern) pairs of one block, rule-major.
 
-        Dispatches on ``matcher`` and scale: the staged generation
-        routes micro blocks (serving micro-batches,
-        ``n_block <= MICRO_BLOCK``) through the best-of-K interval
-        index (:meth:`_micro_pairs`) and bulk blocks (analysis
-        re-scoring) through the dense-prefix walk
-        (:meth:`_bulk_pairs`); ``matcher="legacy"`` keeps the previous
-        single-lag-scan kernel.  Every kernel is exact interval
-        arithmetic and returns pairs rule-major (per-pattern ascending
-        rule order — what the downstream sequential ``bincount``
-        reductions need for the bitwise contract), so the choice never
-        changes a single output bit: the property suite runs the same
-        pools through both generations pair-for-pair.
+        Dispatches on scale: micro blocks (serving micro-batches,
+        ``n_block <= MICRO_BLOCK``) take the adaptive dense-prefix walk
+        (:meth:`_micro_pairs`) and bulk blocks (analysis re-scoring)
+        the priced dense-prefix/sparse walk (:meth:`_bulk_pairs`).
+        Both kernels are exact interval arithmetic and return pairs
+        rule-major (per-pattern ascending rule order — what the
+        downstream sequential ``bincount`` reductions need for the
+        bitwise contract), so the choice never changes a single output
+        bit: the property suite holds both pair-for-pair against the
+        brute-force match matrix.
         """
-        if self.matcher == "legacy":
-            return self._match_pairs_legacy(blkT, n_block)
         if n_block <= self.MICRO_BLOCK:
             return self._micro_pairs(blkT, n_block)
         return self._bulk_pairs(blkT, n_block)
@@ -552,62 +527,6 @@ class CompiledRuleSystem:
         sel = np.nonzero(Q.all(axis=0))[0]
         return r_idx.take(sel), i_idx.take(sel)
 
-    def _match_pairs_legacy(self, blkT: np.ndarray, n_block: int):
-        """Previous kernel generation, kept verbatim as the A/B baseline.
-
-        Single-lag sorted scan with per-pair compaction, falling back
-        to the pure dense walk above ``DENSE_SWITCH``
-        (``MICRO_DENSE_SWITCH`` for micro blocks).  Exact, like every
-        kernel here — ``matcher="legacy"`` exists so a regression in
-        the staged generation can be bisected and flagged off without
-        touching rule code, and so the parity suite has a live
-        in-tree oracle.
-        """
-        R, d = self.n_rules, self.n_lags
-        if n_block <= self.MICRO_BLOCK:
-            sparse_cap = self.MICRO_DENSE_SWITCH * R * n_block
-            check_budget = self.MICRO_CHECK_BUDGET_PER_PATTERN * n_block
-        else:
-            sparse_cap = self.DENSE_SWITCH * R * n_block
-            check_budget = self.FULL_CHECK_BUDGET
-        order = self._lag_order
-        j0 = order[0]
-        col = blkT[j0]
-        perm = np.argsort(col, kind="stable")
-        sorted_col = col[perm]
-        first = np.searchsorted(sorted_col, self._loT[j0], side="left")
-        last = np.searchsorted(sorted_col, self._hiT[j0], side="right")
-        sizes = last - first
-        total = int(sizes.sum())
-        if total > sparse_cap:
-            return self._dense_pairs(blkT, n_block)
-        r_idx = np.repeat(np.arange(R, dtype=np.intp), sizes)
-        pos = np.arange(total, dtype=np.intp)
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        pos -= np.repeat(starts - first, sizes)
-        i_idx = perm[pos]
-        checked = 1
-        for j in order[1:]:
-            if r_idx.size == 0:
-                return r_idx, i_idx
-            if (d - checked) * r_idx.size <= check_budget:
-                break
-            vals = blkT[j][i_idx]
-            keep = (vals >= self.lo[r_idx, j]) & (vals <= self.hi[r_idx, j])
-            r_idx = r_idx[keep]
-            i_idx = i_idx[keep]
-            checked += 1
-        if checked < d and r_idx.size:
-            rest = order[checked:]
-            gathered = blkT[rest][:, i_idx]
-            ok = (
-                (gathered >= self._loT[rest][:, r_idx])
-                & (gathered <= self._hiT[rest][:, r_idx])
-            ).all(axis=0)
-            r_idx = r_idx[ok]
-            i_idx = i_idx[ok]
-        return r_idx, i_idx
-
     # -- prediction ---------------------------------------------------------
 
     def _pair_outputs(
@@ -659,128 +578,15 @@ class CompiledRuleSystem:
         adds per-pattern dispersion/interval/confidence in one extra
         ``bincount`` pass over the same matched pairs — the point
         values are computed by the unchanged code and stay bitwise
-        identical to the plain path.
+        identical to the plain path.  Patterns must be finite.
         """
         patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
-        n = patterns.shape[0]
-        if patterns.shape[1] != self.n_lags:
-            raise ValueError(
-                f"patterns have {patterns.shape[1]} lags, rules expect "
-                f"{self.n_lags}"
-            )
-        if n == 1:
-            return self._predict_single(patterns[0], rich=rich)
-        if not np.isfinite(patterns).all():
+        if patterns.shape[0] > 1 and not np.isfinite(patterns).all():
             raise ValueError(
                 "compiled prediction requires finite patterns (no NaN/inf); "
                 "clean the input or use predict(..., compiled=False)"
             )
-        return self._predict_blocks(patterns, rich=rich)
-
-    def _predict_blocks(
-        self, patterns: np.ndarray, rich: bool = False
-    ) -> PredictionBatch:
-        """Blocked multi-pattern kernel (validated ``(n, D)`` float64).
-
-        The rich pass rides the block loop: each block's mean is fully
-        determined by its own ``bincount`` (blocks partition patterns),
-        so squared deviations of the pair outputs from that mean are
-        accumulated with a second ``bincount`` over the same rule-major
-        pairs — per pattern in ascending rule order, exactly the order
-        of the oracle's second scatter-add loop.
-        """
-        n = patterns.shape[0]
-        totals = np.zeros(n, dtype=np.float64)
-        counts = np.zeros(n, dtype=np.int64)
-        m2 = np.zeros(n, dtype=np.float64) if rich else None
-        for start in range(0, n, self.block_size):
-            stop = min(start + self.block_size, n)
-            blkT = np.ascontiguousarray(patterns[start:stop].T)
-            self._score_blockT(blkT, start, stop, totals, counts, m2)
-        return self._finish_batch(totals, counts, m2, rich)
-
-    def _predict_blocksT(
-        self, stackT: np.ndarray, rich: bool = False
-    ) -> PredictionBatch:
-        """Blocked kernel over an already-transposed ``(D, n)`` stack.
-
-        The fused-stacking entry: the serving gateway fills a
-        lag-major stack buffer directly from its ring buffers, so the
-        per-block ``patterns[start:stop].T`` copy of
-        :meth:`_predict_blocks` disappears — the kernels run on column
-        views of the caller's buffer.  Row slices of a C-order
-        ``(D, n)`` buffer stay contiguous under the column slicing, so
-        the lag-major walks lose nothing; every arithmetic op sees the
-        same values in the same order, keeping the result bitwise
-        equal to the row-major path.
-        """
-        n = stackT.shape[1]
-        totals = np.zeros(n, dtype=np.float64)
-        counts = np.zeros(n, dtype=np.int64)
-        m2 = np.zeros(n, dtype=np.float64) if rich else None
-        for start in range(0, n, self.block_size):
-            stop = min(start + self.block_size, n)
-            self._score_blockT(
-                stackT if n <= self.block_size else stackT[:, start:stop],
-                start, stop, totals, counts, m2,
-            )
-        return self._finish_batch(totals, counts, m2, rich)
-
-    def _score_blockT(
-        self,
-        blkT: np.ndarray,
-        start: int,
-        stop: int,
-        totals: np.ndarray,
-        counts: np.ndarray,
-        m2: Optional[np.ndarray],
-    ) -> None:
-        """Match + score one ``(D, stop-start)`` block into the batch
-        accumulators (shared by both block-loop orientations)."""
-        r_idx, i_idx = self._match_pairs(blkT, stop - start)
-        outputs = self._pair_outputs(
-            blkT, r_idx, i_idx, micro=stop - start <= self.MICRO_BLOCK
-        )
-        totals[start:stop] = np.bincount(
-            i_idx, weights=outputs, minlength=stop - start
-        )
-        counts[start:stop] = np.bincount(i_idx, minlength=stop - start)
-        if m2 is not None:
-            # Same float ops as the naive masked form, expressed
-            # allocation-light: ``divide(where=)`` skips the
-            # boolean fancy-index round trips, ``take`` beats
-            # advanced indexing for the per-pair gather, and the
-            # subtract/multiply reuse the gather buffer in place.
-            # Every element's arithmetic is unchanged, so the
-            # moments stay bitwise equal to the per-rule oracle.
-            blk_counts = counts[start:stop]
-            blk_values = np.zeros(stop - start, dtype=np.float64)
-            np.divide(
-                totals[start:stop], blk_counts, out=blk_values,
-                where=blk_counts > 0,
-            )
-            dev = blk_values.take(i_idx)
-            np.subtract(outputs, dev, out=dev)
-            np.multiply(dev, dev, out=dev)
-            m2[start:stop] = np.bincount(
-                i_idx, weights=dev, minlength=stop - start
-            )
-
-    @staticmethod
-    def _finish_batch(
-        totals: np.ndarray,
-        counts: np.ndarray,
-        m2: Optional[np.ndarray],
-        rich: bool,
-    ) -> PredictionBatch:
-        predicted = counts > 0
-        values = np.full(totals.shape[0], np.nan)
-        values[predicted] = totals[predicted] / counts[predicted]
-        if rich:
-            return rich_from_moments(values, predicted, counts, m2)
-        return PredictionBatch(
-            values=values, predicted=predicted, n_rules_used=counts
-        )
+        return self._score(patterns.T, None, rich)
 
     def predict_windows(
         self, windows: np.ndarray, rich: bool = False
@@ -788,14 +594,13 @@ class CompiledRuleSystem:
         """Micro-batch entry point: score a pre-validated window stack.
 
         The serving gateway (:class:`repro.service.ForecastService`)
-        stacks the ready windows of many concurrent streams into one
-        ``(k, D)`` matrix and scores them in a single call — this is
-        what turns ``k`` per-event :meth:`_predict_single` dispatches
-        into one batched kernel pass.  Bitwise identical to scoring
-        each row on its own (both paths honour the per-rule loop's
-        scalar contract; ``tests/property/test_service_batching.py``
-        holds all three equal), so micro-batching is purely a
-        throughput decision.
+        scores the ready windows of many concurrent streams in one
+        call — this is what turns ``k`` per-event
+        :meth:`_predict_single` dispatches into one batched kernel
+        pass.  Bitwise identical to scoring each row on its own (both
+        paths honour the per-rule loop's scalar contract;
+        ``tests/property/test_service_batching.py`` holds all three
+        equal), so micro-batching is purely a throughput decision.
 
         Unlike :meth:`predict`, rows are **not** re-validated for
         finiteness: the gateway already rejects non-finite observations
@@ -810,28 +615,12 @@ class CompiledRuleSystem:
         bits, one extra reduction pass.
         """
         windows = np.asarray(windows, dtype=np.float64)
-        if windows.ndim != 2 or windows.shape[1] != self.n_lags:
+        if windows.ndim != 2:
             raise ValueError(
                 f"expected a (k, {self.n_lags}) window stack, got shape "
                 f"{windows.shape}"
             )
-        k = windows.shape[0]
-        if k == 0:
-            if rich:
-                return rich_from_moments(
-                    np.full(0, np.nan),
-                    np.zeros(0, dtype=bool),
-                    np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.float64),
-                )
-            return PredictionBatch(
-                values=np.full(0, np.nan),
-                predicted=np.zeros(0, dtype=bool),
-                n_rules_used=np.zeros(0, dtype=np.int64),
-            )
-        if k == 1:
-            return self._predict_single(windows[0], rich=rich)
-        return self._predict_blocks(windows, rich=rich)
+        return self._score(windows.T, None, rich)
 
     def predict_windowsT(
         self, stackT: np.ndarray, k: Optional[int] = None, rich: bool = False
@@ -839,51 +628,90 @@ class CompiledRuleSystem:
         """Score the first ``k`` columns of a lag-major ``(D, cap)`` stack.
 
         The zero-copy twin of :meth:`predict_windows` for callers that
-        assemble windows **column-wise** — the serving gateway's fused
-        stacking path writes each ready ring window straight into a
-        column of a persistent per-model buffer and scores it here,
-        skipping both the per-flush stack allocation and the per-block
-        transpose copy the row-major entry pays.  ``k`` defaults to
-        every column; a buffer wider than ``k`` is fine (only the
-        leading columns are read).  Results are bitwise identical to
+        assemble windows **column-wise** — the serving gateway writes
+        each ready ring window straight into a column of a persistent
+        per-model buffer and scores it here, skipping both the
+        per-flush stack allocation and the transpose copy the
+        row-major entries pay.  ``k`` defaults to every column; a
+        buffer wider than ``k`` is fine (only the leading columns are
+        read).  Results are bitwise identical to
         ``predict_windows(stackT[:, :k].T, rich=rich)`` — the same
-        kernels run on the same values, only the memory walk changes
-        (``tests/property/test_service_batching.py`` and the compiled
-        suite pin this).
-
-        Like :meth:`predict_windows`, multi-column stacks are not
-        re-validated for finiteness (the gateway rejects non-finite
-        observations at ingest); the single-column path shares
-        :meth:`_predict_single` and keeps its check, exactly as the
-        row-major entry does.
+        core runs on the same values.  Like :meth:`predict_windows`,
+        multi-column stacks are not re-validated for finiteness.
         """
-        stackT = np.asarray(stackT, dtype=np.float64)
+        return self._score(np.asarray(stackT, dtype=np.float64), k, rich)
+
+    def _score(
+        self, stackT: np.ndarray, k: Optional[int], rich: bool
+    ) -> PredictionBatch:
+        """The scoring core: the first ``k`` columns of a ``(D, cap)`` view.
+
+        Every public entry lands here with a lag-major view of its
+        input (``None`` means every column).  One column takes the
+        single-pattern fast path (which checks finiteness itself);
+        wider stacks run one block loop.  A row-major caller's view
+        is strided across columns, so it is transposed once into a
+        contiguous ``(D, k)`` copy; a lag-major buffer is read in
+        place — column slices of a C-order ``(D, cap)`` buffer keep
+        every row contiguous, so the lag-major kernel walks lose
+        nothing.
+
+        Each block's mean is fully determined by its own ``bincount``
+        (blocks partition patterns), so the rich pass accumulates
+        squared deviations of the pair outputs from that mean with a
+        second ``bincount`` over the same rule-major pairs — per
+        pattern in ascending rule order, exactly the order of the
+        oracle's second scatter-add loop.
+        """
         if stackT.ndim != 2 or stackT.shape[0] != self.n_lags:
             raise ValueError(
-                f"expected a ({self.n_lags}, cap) window stack, got shape "
-                f"{stackT.shape}"
+                f"expected windows of {self.n_lags} lags, got a lag-major "
+                f"stack of shape {stackT.shape}"
             )
         k = stackT.shape[1] if k is None else int(k)
         if not 0 <= k <= stackT.shape[1]:
             raise ValueError(
                 f"k={k} outside the stack's {stackT.shape[1]} columns"
             )
-        if k == 0:
-            if rich:
-                return rich_from_moments(
-                    np.full(0, np.nan),
-                    np.zeros(0, dtype=bool),
-                    np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.float64),
-                )
-            return PredictionBatch(
-                values=np.full(0, np.nan),
-                predicted=np.zeros(0, dtype=bool),
-                n_rules_used=np.zeros(0, dtype=np.int64),
-            )
         if k == 1:
             return self._predict_single(stackT[:, 0], rich=rich)
-        return self._predict_blocksT(stackT[:, :k], rich=rich)
+        if stackT.strides[1] != stackT.itemsize:
+            stackT = np.ascontiguousarray(stackT[:, :k])
+        totals = np.zeros(k, dtype=np.float64)
+        counts = np.zeros(k, dtype=np.int64)
+        m2 = np.zeros(k, dtype=np.float64) if rich else None
+        for start in range(0, k, self.block_size):
+            stop = min(start + self.block_size, k)
+            blkT = stackT[:, start:stop]
+            r_idx, i_idx = self._match_pairs(blkT, stop - start)
+            outputs = self._pair_outputs(
+                blkT, r_idx, i_idx, micro=stop - start <= self.MICRO_BLOCK
+            )
+            totals[start:stop] = np.bincount(
+                i_idx, weights=outputs, minlength=stop - start
+            )
+            counts[start:stop] = np.bincount(i_idx, minlength=stop - start)
+            if m2 is not None:
+                # Same float ops as the naive masked form, expressed
+                # allocation-light: ``divide(where=)`` skips the
+                # boolean fancy-index round trips, ``take`` beats
+                # advanced indexing for the per-pair gather, and the
+                # subtract/multiply reuse the gather buffer in place.
+                # Every element's arithmetic is unchanged, so the
+                # moments stay bitwise equal to the per-rule oracle.
+                blk_counts = counts[start:stop]
+                blk_values = np.zeros(stop - start, dtype=np.float64)
+                np.divide(
+                    totals[start:stop], blk_counts, out=blk_values,
+                    where=blk_counts > 0,
+                )
+                dev = blk_values.take(i_idx)
+                np.subtract(outputs, dev, out=dev)
+                np.multiply(dev, dev, out=dev)
+                m2[start:stop] = np.bincount(
+                    i_idx, weights=dev, minlength=stop - start
+                )
+        return _finish_batch(totals, counts, m2, rich)
 
     def _predict_single(
         self, pattern: np.ndarray, rich: bool = False
@@ -903,18 +731,7 @@ class CompiledRuleSystem:
         idx = np.nonzero(matched)[0]
         k = idx.size
         if k == 0:
-            if rich:
-                return rich_from_moments(
-                    np.full(1, np.nan),
-                    np.zeros(1, dtype=bool),
-                    np.zeros(1, dtype=np.int64),
-                    np.zeros(1, dtype=np.float64),
-                )
-            return PredictionBatch(
-                values=np.full(1, np.nan),
-                predicted=np.zeros(1, dtype=bool),
-                n_rules_used=np.zeros(1, dtype=np.int64),
-            )
+            return abstaining_batch(1, rich)
         outputs = self._intercept[idx].astype(np.float64, copy=False)
         lin = self.is_linear[idx]
         if lin.any():

@@ -39,6 +39,7 @@ __all__ = [
     "PredictionBatch",
     "RichPredictionBatch",
     "RuleSystem",
+    "abstaining_batch",
     "rich_from_moments",
 ]
 
@@ -143,6 +144,18 @@ def rich_from_moments(
     )
 
 
+def abstaining_batch(n: int, rich: bool = False) -> PredictionBatch:
+    """``n`` abstentions: the result wherever no rule can match."""
+    values = np.full(n, np.nan)
+    predicted = np.zeros(n, dtype=bool)
+    counts = np.zeros(n, dtype=np.int64)
+    if rich:
+        return rich_from_moments(values, predicted, counts, np.zeros(n))
+    return PredictionBatch(
+        values=values, predicted=predicted, n_rules_used=counts
+    )
+
+
 class RuleSystem:
     """A pool of prediction rules acting as one forecaster.
 
@@ -224,18 +237,7 @@ class RuleSystem:
         patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
         n = patterns.shape[0]
         if not self.rules:
-            if rich:
-                return rich_from_moments(
-                    np.full(n, np.nan),
-                    np.zeros(n, dtype=bool),
-                    np.zeros(n, dtype=np.int64),
-                    np.zeros(n, dtype=np.float64),
-                )
-            return PredictionBatch(
-                values=np.full(n, np.nan),
-                predicted=np.zeros(n, dtype=bool),
-                n_rules_used=np.zeros(n, dtype=np.int64),
-            )
+            return abstaining_batch(n, rich)
         if patterns.shape[1] != self.n_lags:
             raise ValueError(
                 f"patterns have {patterns.shape[1]} lags, rules expect "

@@ -1,4 +1,4 @@
-"""Island-model distributed GA over a networkx migration topology.
+"""Island-model distributed GA over a directed migration topology.
 
 IPPS is a parallel-processing venue; the natural distributed extension
 of the paper's multi-execution scheme is an island model: several
@@ -8,9 +8,12 @@ topology.  An immigrant enters exactly like a §3.3 offspring — it
 challenges the phenotypically nearest resident and replaces it only if
 fitter — so the crowding invariants are preserved island-locally.
 
-Topologies are :mod:`networkx` digraphs; ring, torus, star and complete
-builders are provided, and any user digraph with node labels
-``0..k-1`` works.
+A topology is a plain tuple of directed ``(src, dst)`` edges between
+islands ``0..k-1``; ring, torus, star and complete builders are
+provided, and any user edge tuple works.  Migration walks the edges in
+tuple order, which decides where each immigrant lands, so the builders
+emit a fixed order: sources ascending, each source's successors in the
+order the builder adds them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..core.config import EvolutionConfig
@@ -36,9 +38,14 @@ __all__ = [
     "torus_topology",
     "star_topology",
     "complete_topology",
+    "Topology",
     "IslandResult",
     "IslandModel",
 ]
+
+
+#: Directed migration edges ``(src, dst)`` between islands ``0..k-1``.
+Topology = Tuple[Tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -99,55 +106,46 @@ def _run_island_epoch(
     return engine.population, engine.rng, engine.replacements
 
 
-def ring_topology(n_islands: int) -> nx.DiGraph:
-    """Directed ring: island i sends to (i+1) mod n."""
+def _check_islands(n_islands: int) -> None:
     if n_islands < 1:
         raise ValueError("n_islands must be >= 1")
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n_islands))
-    if n_islands > 1:
-        g.add_edges_from((i, (i + 1) % n_islands) for i in range(n_islands))
-    return g
 
 
-def torus_topology(rows: int, cols: int) -> nx.DiGraph:
+def ring_topology(n_islands: int) -> Topology:
+    """Directed ring: island i sends to (i+1) mod n."""
+    _check_islands(n_islands)
+    if n_islands == 1:
+        return ()
+    return tuple((i, (i + 1) % n_islands) for i in range(n_islands))
+
+
+def torus_topology(rows: int, cols: int) -> Topology:
     """2-D torus grid: each island sends to its E and S neighbours."""
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
-    g = nx.DiGraph()
-    n = rows * cols
-    g.add_nodes_from(range(n))
+    edges = []
     for r in range(rows):
         for c in range(cols):
             src = r * cols + c
             east = r * cols + (c + 1) % cols
             south = ((r + 1) % rows) * cols + c
-            if east != src:
-                g.add_edge(src, east)
-            if south != src:
-                g.add_edge(src, south)
-    return g
+            edges.extend((src, dst) for dst in (east, south) if dst != src)
+    return tuple(edges)
 
 
-def star_topology(n_islands: int) -> nx.DiGraph:
+def star_topology(n_islands: int) -> Topology:
     """Hub-and-spoke: island 0 exchanges with every other island."""
-    if n_islands < 1:
-        raise ValueError("n_islands must be >= 1")
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n_islands))
-    for i in range(1, n_islands):
-        g.add_edge(0, i)
-        g.add_edge(i, 0)
-    return g
+    _check_islands(n_islands)
+    spokes = range(1, n_islands)
+    return tuple((0, i) for i in spokes) + tuple((i, 0) for i in spokes)
 
 
-def complete_topology(n_islands: int) -> nx.DiGraph:
+def complete_topology(n_islands: int) -> Topology:
     """All-to-all migration."""
-    if n_islands < 1:
-        raise ValueError("n_islands must be >= 1")
-    g = nx.complete_graph(n_islands, create_using=nx.DiGraph)
-    g.add_nodes_from(range(n_islands))
-    return g
+    _check_islands(n_islands)
+    return tuple(
+        (i, j) for i in range(n_islands) for j in range(n_islands) if i != j
+    )
 
 
 @dataclass
@@ -182,7 +180,8 @@ class IslandModel:
         Per-island configuration (``config.seed`` ignored; the model
         spawns one independent stream per island from ``root_seed``).
     topology:
-        Directed migration graph on nodes ``0..k-1``.
+        Directed ``(src, dst)`` migration edges; the model runs
+        ``max label + 1`` islands (one island for an empty tuple).
     migration_interval:
         Generations between migration rounds.
     n_emigrants:
@@ -200,7 +199,7 @@ class IslandModel:
         self,
         dataset: WindowDataset,
         config: EvolutionConfig,
-        topology: nx.DiGraph,
+        topology: Topology,
         migration_interval: int = 250,
         n_emigrants: int = 1,
         root_seed: Optional[int] = None,
@@ -210,16 +209,16 @@ class IslandModel:
             raise ValueError("migration_interval must be >= 1")
         if n_emigrants < 1:
             raise ValueError("n_emigrants must be >= 1")
-        nodes = sorted(topology.nodes)
-        if nodes != list(range(len(nodes))):
-            raise ValueError("topology nodes must be labelled 0..k-1")
+        topology = tuple((int(src), int(dst)) for src, dst in topology)
+        if any(src < 0 or dst < 0 for src, dst in topology):
+            raise ValueError("topology edges must name islands 0..k-1")
         self.dataset = dataset
         self.config = config
         self.topology = topology
         self.migration_interval = migration_interval
         self.n_emigrants = n_emigrants
         self.backend = backend
-        self.n_islands = len(nodes)
+        self.n_islands = 1 + max((max(e) for e in topology), default=0)
         rngs = spawn_generators(self.n_islands, root_seed)
         self.engines = [
             SteadyStateEngine(dataset, config, rng=rng) for rng in rngs
@@ -242,8 +241,11 @@ class IslandModel:
         a §3.3 offspring, with no per-edge match-matrix rebuild.
         """
         # Snapshot emigrants first so the round is order-independent.
-        outbox = {i: [r.copy() for r in self._best_rules(i)] for i in self.topology.nodes}
-        for src, dst in self.topology.edges:
+        outbox = [
+            [r.copy() for r in self._best_rules(i)]
+            for i in range(self.n_islands)
+        ]
+        for src, dst in self.topology:
             engine = self.engines[dst]
             state = engine.state
             assert state is not None, "islands must be initialized before migration"

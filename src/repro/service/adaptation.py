@@ -19,8 +19,8 @@ from per-stream forecast error back through re-evolution and the
   its checkpoint) and pools the per-execution rules exactly as
   :func:`~repro.core.multirun.multirun` would — the challenger is
   bitwise identical to a direct ``multirun`` call on the same window.
-* :class:`ShadowScorer` — scores the challenger on the *same stacked
-  window matrices* the champion just scored inside
+* :class:`ShadowScorer` — scores the challenger on the *same lag-major
+  window stacks* the champion just scored inside
   ``ForecastService.ingest``.  Shadow forecasts never reach the wire;
   reusing the champion's stacks makes shadow output bitwise identical
   to a direct ``predict_windows`` replay by construction
@@ -441,8 +441,8 @@ class ShadowScorer:
 
     Attached to the gateway (directly, or via
     :class:`AdaptationManager`), :meth:`on_batch` re-scores the exact
-    stacked window matrix the champion's
-    :meth:`~repro.core.compiled.CompiledRuleSystem.predict_windows`
+    lag-major window stack the champion's
+    :meth:`~repro.core.compiled.CompiledRuleSystem.predict_windowsT`
     call just consumed — shadow forecasts are therefore bitwise
     identical to a direct replay of the same windows by construction,
     and they never appear in the gateway's returned
@@ -497,8 +497,11 @@ class ShadowScorer:
         members = ready.get(self.champion_key)
         if not members:
             return {}
-        windows = stacks[self.champion_key][: len(members)]
-        scored = self.challenger.predict_windows(windows)
+        # The champion's lag-major buffer can be wider than this batch,
+        # so only its first len(members) columns are scored.
+        scored = self.challenger.predict_windowsT(
+            stacks[self.champion_key], len(members)
+        )
         values = scored.values.tolist()
         flags = scored.predicted.tolist()
         out: Dict[Tuple[str, int], Tuple[float, bool]] = {}

@@ -13,7 +13,7 @@ one per user — most of which share a handful of models.
   (interleaved across streams, in arrival order), pushes every value
   into its ring, stacks the resulting ready windows *per model*, and
   scores each stack with a single
-  :meth:`~repro.core.compiled.CompiledRuleSystem.predict_windows`
+  :meth:`~repro.core.compiled.CompiledRuleSystem.predict_windowsT`
   call — ``k`` events sharing a model cost one batched kernel pass
   instead of ``k`` single-pattern dispatches, which is where the
   multi-stream throughput comes from
@@ -28,7 +28,7 @@ numeric one: the forecasts a stream receives are bitwise identical to
 feeding its values through a private ``StreamingForecaster`` one event
 at a time, for any interleaving and any batch sizing
 (``tests/property/test_service_batching.py``).  This holds because
-``predict_windows`` and the single-pattern path both honour the
+``predict_windowsT`` and the single-pattern path both honour the
 per-rule loop's scalar contract — stacking windows from different
 streams changes which kernel runs, not what it computes per row.
 
@@ -134,20 +134,6 @@ class ForecastService:
         :class:`~repro.service.store.InMemoryStreamStore`.  Pass one
         configured with ``ttl_s``/``max_streams`` to evict idle
         streams (multi-tenant serving must not grow without bound).
-    fused_stacking:
-        ``True`` (default) stacks each model's ready windows
-        **column-wise** into a persistent lag-major buffer and scores
-        it through
-        :meth:`~repro.core.compiled.CompiledRuleSystem.predict_windowsT`
-        — no per-flush stack allocation, no per-block transpose copy
-        inside the kernel.  ``False`` keeps the previous
-        allocate-stack-then-``predict_windows`` flush as the A/B
-        baseline.  Forecasts are bitwise identical either way
-        (``tests/property/test_service_batching.py``); the knob only
-        moves copies.  With an adaptation hook attached the gateway
-        silently uses the baseline layout — shadow scorers consume the
-        row-major stacks directly, and adaptation batches are off the
-        raw-throughput path by design.
 
     Example
     -------
@@ -164,13 +150,12 @@ class ForecastService:
         self,
         registry: Optional[ModelRegistry] = None,
         store: Optional[StreamStore] = None,
-        fused_stacking: bool = True,
     ) -> None:
         self.registry = registry
         self._store = store if store is not None else InMemoryStreamStore()
-        self.fused_stacking = bool(fused_stacking)
         # (name, version) -> persistent (d, cap) lag-major stack buffer
-        # for the fused flush path; grown to the largest batch seen.
+        # that ready windows land in column-wise; grown to the largest
+        # batch seen.
         self._stack_bufs: Dict[Tuple[str, int], np.ndarray] = {}
         # (name, version) -> compiled pool; streams sharing a model
         # share one compiled pack (and one micro-batch per ingest).
@@ -501,13 +486,10 @@ class ForecastService:
 
         # Push phase: windows must be copied out as they form — a later
         # event for the same stream advances the ring and would
-        # invalidate the zero-copy view.  On the fused path each ready
-        # window lands column-wise in the model's persistent lag-major
-        # buffer (scored in place by ``predict_windowsT``); the A/B
-        # baseline preallocates a row-major stack per flush instead.
-        # Adaptation hooks consume row-major stacks, so their presence
-        # pins the baseline layout (see ``fused_stacking`` above).
-        fused = self.fused_stacking and self._adaptation is None
+        # invalidate the zero-copy view.  Each ready window lands
+        # column-wise in the model's persistent lag-major buffer, scored
+        # in place by ``predict_windowsT`` (no per-flush stack
+        # allocation, no transpose copy inside the kernel).
         results: List[Optional[Forecast]] = [None] * len(batch)
         ready: Dict[Tuple[str, int], List[Tuple[int, StreamState, int]]] = {}
         stacks: Dict[Tuple[str, int], np.ndarray] = {}
@@ -528,18 +510,12 @@ class ForecastService:
                 members = ready.get(key)
                 if members is None:
                     members = ready[key] = []
-                    if fused:
-                        buf = self._stack_bufs.get(key)
-                        if buf is None or buf.shape[1] < len(batch):
-                            buf = np.empty((ring.d, len(batch)))
-                            self._stack_bufs[key] = buf
-                        stacks[key] = buf
-                    else:
-                        stacks[key] = np.empty((len(batch), ring.d))
-                if fused:
-                    ring.push_into(v, stacks[key][:, len(members)])
-                else:
-                    ring.push_into(v, stacks[key][len(members)])
+                    buf = self._stack_bufs.get(key)
+                    if buf is None or buf.shape[1] < len(batch):
+                        buf = np.empty((ring.d, len(batch)))
+                        self._stack_bufs[key] = buf
+                    stacks[key] = buf
+                ring.push_into(v, stacks[key][:, len(members)])
                 members.append((i, state, t))
             else:
                 ring.push(v)
@@ -569,15 +545,9 @@ class ForecastService:
 
         # Score phase: one batched call per model with >= 1 ready window.
         for model_key, members in ready.items():
-            if fused:
-                scored = self._models[model_key].predict_windowsT(
-                    stacks[model_key], len(members), rich=rich
-                )
-            else:
-                windows = stacks[model_key][: len(members)]
-                scored = self._models[model_key].predict_windows(
-                    windows, rich=rich
-                )
+            scored = self._models[model_key].predict_windowsT(
+                stacks[model_key], len(members), rich=rich
+            )
             self.n_batches += 1
             name, version = model_key
             # One C-level conversion per batch instead of three numpy

@@ -177,6 +177,20 @@ class Counter(_Metric):
         key = self._key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
+    def set_total(self, total: float, **labels: str) -> None:
+        """Mirror an authoritative running total into the series.
+
+        For totals another object already counts (the gateway, the
+        policy engine, the adaptation manager), read at scrape time.
+        A total below the series' current value is refused — the
+        series keeps its high-water mark — because the source can
+        shrink without the events un-happening: a sharded aggregate
+        drops a dead worker's share, a re-attached hook restarts at 0.
+        """
+        key = self._key(labels)
+        if key not in self._values or total > self._values[key]:
+            self._values[key] = float(total)
+
     def value(self, **labels: str) -> float:
         """Current value of the labelled series (0.0 if never incremented)."""
         return self._values.get(self._key(labels), 0.0)

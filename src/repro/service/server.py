@@ -569,35 +569,39 @@ class ForecastServer:
     # -- metrics -------------------------------------------------------------
 
     def render_metrics(self) -> str:
-        """The ``/metrics`` payload: refresh gauges, render the registry.
+        """The ``/metrics`` payload: refresh mirrors, render the registry.
 
-        Gateway counters (events, micro-batches, per-stream coverage)
-        are mirrored into gauges at render time — scrape-time reads of
-        authoritative state instead of double bookkeeping on the hot
-        path.  Per-stream series are capped at the config's
-        ``metrics_top_k`` busiest streams (by ingested events); the
-        rest collapse into one ``stream="other"`` aggregate so the
-        scrape stays bounded no matter how many streams are bound.
+        Gateway, adaptation and policy state is mirrored at render time
+        — scrape-time reads of authoritative state instead of double
+        bookkeeping on the hot path.  Running totals (every
+        ``*_total`` family) become counters that never decrease
+        (:meth:`~repro.service.metrics.Counter.set_total`); levels such
+        as streams and coverage stay gauges.  Per-stream series are
+        capped at the config's ``metrics_top_k`` busiest streams (by
+        ingested events); the rest collapse into one
+        ``stream="other"`` aggregate so the scrape stays bounded no
+        matter how many streams are bound.
         """
         stats = self.service.stats()
         g = self.metrics.gauge
-        g("repro_gateway_events_total", "Events the gateway ingested.").set(
+        c = self.metrics.counter
+        c("repro_gateway_events_total", "Events the gateway ingested.").set_total(
             stats["events"]
         )
-        g(
+        c(
             "repro_gateway_micro_batches_total",
             "ingest() calls the gateway scored.",
-        ).set(stats["micro_batches"])
+        ).set_total(stats["micro_batches"])
         g("repro_gateway_streams", "Streams currently bound.").set(
             stats["streams"]
         )
         g("repro_gateway_coverage", "Aggregate prediction coverage.").set(
             stats["coverage"]
         )
-        g(
+        c(
             "repro_gateway_evicted_streams_total",
             "Streams evicted by the store's TTL/LRU policy.",
-        ).set(stats["evicted_streams"])
+        ).set_total(stats["evicted_streams"])
         adapt = stats.get("adaptation")
         if adapt:
             for key, help_text in (
@@ -606,7 +610,7 @@ class ForecastServer:
                 ("promotions", "Challengers promoted to champion."),
                 ("rollbacks", "Promotions rolled back from probation."),
             ):
-                g(f"repro_adaptation_{key}_total", help_text).set(
+                c(f"repro_adaptation_{key}_total", help_text).set_total(
                     adapt.get(key, 0)
                 )
             shadow_err = g(
@@ -638,18 +642,16 @@ class ForecastServer:
                 ("abstentions", "Abstain decisions (not ready, no or "
                                 "too few matching rules)."),
             ):
-                g(f"repro_policy_{key}_total", help_text).set(
+                c(f"repro_policy_{key}_total", help_text).set_total(
                     policy.get(key, 0)
                 )
-            reasons = g(
+            reasons = c(
                 "repro_policy_reasons_total",
                 "Decision reason codes emitted, by code.",
                 ["reason"],
             )
-            # Rebuilt each scrape from the authoritative counters.
-            reasons.clear()
             for code, count in sorted(policy.get("reasons", {}).items()):
-                reasons.set(count, reason=code)
+                reasons.set_total(count, reason=code)
         per_stream = g(
             "repro_gateway_stream_coverage",
             "Prediction coverage per stream "

@@ -12,8 +12,9 @@ purpose: batch sizes either side of ``MICRO_BLOCK``, candidate
 densities either side of ``DENSE_SWITCH`` (including forcing both
 branches on the *same* block), and verify budgets clamped to both
 extremes — always against the per-rule oracle
-(``RuleSystem.predict(compiled=False)``) and the legacy matcher,
-pair-for-pair where the pair lists are reachable.
+(``RuleSystem.predict(compiled=False)``) and, pair-for-pair where the
+pair lists are reachable, against the brute-force match matrix of
+:func:`~repro.core.matching.population_match_matrix_stacked`.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compiled import CompiledRuleSystem
+from repro.core.matching import population_match_matrix_stacked
 from repro.core.predictor import RuleSystem
 
 from test_compiled_predictor import (
@@ -33,6 +35,11 @@ def _pairs(compiled, patterns):
     """The (rule, pattern) pair lists for ``patterns`` as one block."""
     blkT = np.ascontiguousarray(patterns.T)
     return compiled._match_pairs(blkT, patterns.shape[0])
+
+
+def _brute_force_pairs(rules, patterns):
+    """Every matching (rule, pattern) pair, rule-major by construction."""
+    return np.nonzero(population_match_matrix_stacked(rules, patterns))
 
 
 def assert_pairs_equivalent(a, b):
@@ -96,23 +103,21 @@ class TestMicroBlockBoundary:
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
-    def test_pair_order_parity_staged_vs_legacy_across_widths(self, seed):
-        """Both matcher generations emit identical pair *lists*.
+    def test_pair_lists_match_brute_force(self, seed):
+        """The micro and bulk kernels emit the brute-force pair *lists*.
 
-        Stronger than output parity: the staged micro/bulk kernels
-        must emit the same pair set, rule-major, as the legacy
-        single-lag-scan kernel, at widths on both sides of the micro
-        boundary (1 crosses into the dense switch too).
+        Stronger than output parity: the staged kernels must emit the
+        same pair set, rule-major, as ``np.nonzero`` of the full match
+        matrix, at widths on both sides of the micro boundary.
         """
         rng = np.random.default_rng(seed)
         rules = random_pool(rng, 25, 4)
         staged = CompiledRuleSystem(rules)
-        legacy = CompiledRuleSystem(rules, matcher="legacy")
         edge = CompiledRuleSystem.MICRO_BLOCK
         for n in (1, 3, 17, edge - 1, edge, edge + 1):
             patterns = rng.uniform(-0.1, 1.1, size=(n, 4))
             assert_pairs_equivalent(
-                _pairs(staged, patterns), _pairs(legacy, patterns)
+                _pairs(staged, patterns), _brute_force_pairs(rules, patterns)
             )
 
 
@@ -183,23 +188,22 @@ class TestMicroVerifyBudget:
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_budget_extremes_agree_pairwise(self, seed):
-        """Both micro exit paths emit the legacy pair lists exactly.
+        """Both micro exit paths emit the brute-force pair lists exactly.
 
         Budget 0 can never afford an early exit, so the walk goes
         dense through every lag and the one-shot verify sees an empty
         lag set; an effectively infinite budget exits right at
         ``MICRO_DENSE_PREFIX`` and verifies the maximal tail.  Either
-        way the pair set must match the legacy kernel's.
+        way the pair set must match the full match matrix's.
         """
         rng = np.random.default_rng(seed)
         rules = random_pool(rng, 25, 6, p_wildcard=0.4, width=0.5)
-        legacy = CompiledRuleSystem(rules, matcher="legacy")
         patterns = rng.uniform(-0.1, 1.1, size=(200, 6))  # micro width
-        legacy_pairs = _pairs(legacy, patterns)
+        brute_pairs = _brute_force_pairs(rules, patterns)
         for budget in (0, 1 << 60):
             micro = CompiledRuleSystem(rules)
             micro.MICRO_VERIFY_BUDGET = budget
-            assert_pairs_equivalent(_pairs(micro, patterns), legacy_pairs)
+            assert_pairs_equivalent(_pairs(micro, patterns), brute_pairs)
             assert_batches_bitwise_equal(
                 RuleSystem(rules).predict(patterns, compiled=False),
                 micro.predict(patterns),

@@ -173,20 +173,6 @@ class TestFloat32Matching:
             assert np.array_equal(got.predicted, want.predicted)
             assert np.array_equal(got.n_rules_used, want.n_rules_used)
 
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_staged_and_legacy_agree_on_float32(self, seed):
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(1, 6))
-        rules = random_pool(rng, 20, d)
-        patterns = rng.uniform(-0.2, 1.2, size=(80, d))
-        a = CompiledRuleSystem(rules, storage="float32").predict(patterns)
-        b = CompiledRuleSystem(
-            rules, storage="float32", matcher="legacy"
-        ).predict(patterns)
-        assert np.array_equal(a.values, b.values, equal_nan=True)
-        assert np.array_equal(a.n_rules_used, b.n_rules_used)
-
 
 class TestFloat32Values:
     @given(

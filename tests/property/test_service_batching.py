@@ -99,6 +99,7 @@ class TestMicroBatchingBitwise:
                 assert forecast.ready == step.ready
                 assert forecast.predicted == step.predicted
                 assert forecast.n_rules_used == step.n_rules_used
+                assert (forecast.model, forecast.version) == ("shared", 0)
                 assert np.array_equal(
                     [forecast.value], [step.value], equal_nan=True
                 )
@@ -179,8 +180,20 @@ class TestMicroBatchingBitwise:
                 )
 
 
+def row_major_baseline(pool, streams, forecasts, rich=False):
+    """Score every ready forecast's window through the row-major
+    ``predict_windows`` entry in one ``(k, d)`` stack — the layout the
+    gateway's lag-major ``(d, cap)`` buffers replace."""
+    compiled = pool.compile()
+    d = compiled.n_lags
+    windows = np.array(
+        [streams[f.stream][f.t - d + 1 : f.t + 1] for f in forecasts if f.ready]
+    ).reshape(-1, d)
+    return compiled.predict_windows(windows, rich=rich)
+
+
 class TestFusedStacking:
-    """The ``fused_stacking`` A/B hatch: layout changes, bits do not."""
+    """The gateway's lag-major stacks and the transposed entry point."""
 
     @given(
         st.integers(1, 6),        # d
@@ -194,7 +207,8 @@ class TestFusedStacking:
     def test_fused_equals_baseline_gateway(
         self, d, n_rules, n_streams, per_stream, max_batch, seed
     ):
-        """Any pool / interleaving / batch split: both layouts bitwise."""
+        """Any pool / interleaving / batch split: the gateway's
+        lag-major scoring equals a row-major replay bitwise."""
         rng = np.random.default_rng(seed)
         pool = RuleSystem(random_pool(rng, n_rules, d))
         streams = {
@@ -202,29 +216,35 @@ class TestFusedStacking:
             for k in range(n_streams)
         }
         events = interleaved_events(rng, streams)
-        batches = partitions(rng, events, max_batch)
 
-        def replay(fused):
-            service = ForecastService(fused_stacking=fused)
-            for name in streams:
-                service.bind_system(name, pool, model="shared")
-            out = []
-            for batch in batches:
-                out.extend(service.ingest(batch))
-            return out
+        service = ForecastService()
+        for name in streams:
+            service.bind_system(name, pool, model="shared")
+        out = []
+        for batch in partitions(rng, events, max_batch):
+            out.extend(service.ingest(batch))
 
-        for a, b in zip(replay(True), replay(False)):
-            assert a.stream == b.stream and a.t == b.t
-            assert a.ready == b.ready and a.predicted == b.predicted
-            assert a.n_rules_used == b.n_rules_used
-            assert a.model == b.model and a.version == b.version
-            assert np.array_equal([a.value], [b.value], equal_nan=True)
+        assert len(out) == len(events)
+        base = row_major_baseline(pool, streams, out)
+        ready = [f for f in out if f.ready]
+        assert len(ready) == len(base.values)
+        for f in out:
+            assert f.model == "shared" and f.version == 0
+            if not f.ready:
+                assert not f.predicted and np.isnan(f.value)
+        for i, f in enumerate(ready):
+            assert f.predicted == bool(base.predicted[i])
+            assert f.n_rules_used == int(base.n_rules_used[i])
+            assert np.array_equal(
+                [f.value], [base.values[i]], equal_nan=True
+            )
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_fused_rich_path_with_policy(self, seed):
         """The rich (policy) scoring branch holds bitwise too —
-        uncertainty fields included."""
+        uncertainty fields included — and the decisions equal a fresh
+        engine replaying the same forecasts one at a time."""
         from repro.service.policy import PolicyEngine, PolicySpec
 
         rng = np.random.default_rng(seed)
@@ -232,29 +252,40 @@ class TestFusedStacking:
         series = {name: rng.uniform(-0.2, 1.2, size=25) for name in "xyz"}
         spec = PolicySpec(alert_above=0.5, hysteresis=0.1, min_matches=1)
 
-        def replay(fused):
-            service = ForecastService(fused_stacking=fused)
-            for name in series:
-                service.bind_system(name, pool, model="shared")
-            service.attach_policy(PolicyEngine(spec))
-            out = []
-            for i in range(25):
-                out.extend(service.ingest(
-                    [(name, series[name][i]) for name in "xyz"]
-                ))
-            return out
+        service = ForecastService()
+        for name in series:
+            service.bind_system(name, pool, model="shared")
+        service.attach_policy(PolicyEngine(spec))
+        out = []
+        for i in range(25):
+            out.extend(service.ingest(
+                [(name, series[name][i]) for name in "xyz"]
+            ))
 
-        for a, b in zip(replay(True), replay(False)):
-            assert a.stream == b.stream and a.t == b.t
-            assert a.n_rules_used == b.n_rules_used
-            for fa, fb in (
-                (a.value, b.value), (a.confidence, b.confidence),
-                (a.dispersion, b.dispersion),
-                (a.interval_lo, b.interval_lo),
-                (a.interval_hi, b.interval_hi),
+        base = row_major_baseline(pool, series, out, rich=True)
+        ready = [f for f in out if f.ready]
+        assert len(ready) == len(base.values)
+        for i, f in enumerate(ready):
+            assert f.n_rules_used == int(base.n_rules_used[i])
+            for field in (
+                "value", "confidence", "dispersion", "interval_lo",
+                "interval_hi",
             ):
-                assert np.array_equal([fa], [fb], equal_nan=True)
-            assert type(a.decision) is type(b.decision)
+                key = "values" if field == "value" else field
+                assert np.array_equal(
+                    [getattr(f, field)], [getattr(base, key)[i]],
+                    equal_nan=True,
+                )
+        steps = {name: StreamingForecaster(pool, rich=True).extend(vals)
+                 for name, vals in series.items()}
+        for f in out:
+            step = steps[f.stream][f.t]
+            for field in ("value", "confidence", "dispersion"):
+                assert np.array_equal(
+                    [getattr(f, field)], [getattr(step, field)],
+                    equal_nan=True,
+                )
+        assert [f.decision for f in out] == PolicyEngine(spec).evaluate(out)
 
     @given(
         st.integers(1, 5),        # d
@@ -300,9 +331,9 @@ class TestFusedStacking:
         with pytest.raises(ValueError):
             compiled.predict_windowsT(np.zeros((3, 7)), k=-1)
 
-    def test_adaptation_pins_baseline_layout(self):
-        """With an adaptation hook attached the stacks passed to
-        ``on_batch`` stay row-major ``(k, d)`` slices."""
+    def test_adaptation_sees_lag_major_stacks(self):
+        """An attached adaptation hook receives the same lag-major
+        ``(d, cap)`` buffers the gateway scored, not a row-major copy."""
         rng = np.random.default_rng(3)
         pool = RuleSystem(random_pool(rng, 8, 3))
         seen = []
@@ -310,14 +341,14 @@ class TestFusedStacking:
         class Probe:
             def on_batch(self, batch, results, ready, stacks):
                 for key, members in ready.items():
-                    seen.append(stacks[key][: len(members)].shape)
+                    seen.append(stacks[key].shape[0])
 
             def stats(self):
                 return {}
 
-        service = ForecastService(fused_stacking=True)
+        service = ForecastService()
         service.bind_system("s", pool, model="m")
         service.attach_adaptation(Probe())
         for v in rng.uniform(0, 1, size=10):
             service.ingest([("s", float(v))])
-        assert seen and all(shape[1] == 3 for shape in seen)
+        assert seen and all(rows == 3 for rows in seen)

@@ -1,6 +1,5 @@
 """Unit tests for the island-model GA."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -14,29 +13,39 @@ from repro.parallel.islands import (
 
 
 class TestTopologies:
+    """Edge tuples pinned literally: migration walks them in this order,
+    which decides where each immigrant lands."""
+
     def test_ring(self):
-        g = ring_topology(4)
-        assert sorted(g.edges) == [(0, 1), (1, 2), (2, 3), (3, 0)]
+        assert ring_topology(4) == ((0, 1), (1, 2), (2, 3), (3, 0))
+        assert ring_topology(2) == ((0, 1), (1, 0))
 
     def test_ring_single_island(self):
-        g = ring_topology(1)
-        assert g.number_of_edges() == 0
+        assert ring_topology(1) == ()
 
     def test_torus_degree(self):
-        g = torus_topology(2, 3)
-        assert g.number_of_nodes() == 6
-        # Each island emits to E and S neighbours.
-        for node in g.nodes:
-            assert g.out_degree(node) == 2
+        assert torus_topology(2, 3) == (
+            (0, 1), (0, 3), (1, 2), (1, 4), (2, 0), (2, 5),
+            (3, 4), (3, 0), (4, 5), (4, 1), (5, 3), (5, 2),
+        )
+        assert torus_topology(2, 2) == (
+            (0, 1), (0, 2), (1, 0), (1, 3), (2, 3), (2, 0), (3, 2), (3, 1),
+        )
+        assert torus_topology(1, 3) == ((0, 1), (1, 2), (2, 0))
+        assert torus_topology(3, 1) == ((0, 1), (1, 2), (2, 0))
+        assert torus_topology(1, 1) == ()
 
     def test_star(self):
-        g = star_topology(4)
-        assert g.has_edge(0, 3) and g.has_edge(3, 0)
-        assert not g.has_edge(1, 2)
+        assert star_topology(4) == (
+            (0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0),
+        )
+        assert star_topology(1) == ()
 
     def test_complete(self):
-        g = complete_topology(3)
-        assert g.number_of_edges() == 6
+        assert complete_topology(3) == (
+            (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1),
+        )
+        assert complete_topology(1) == ()
 
     @pytest.mark.parametrize("builder", [ring_topology, star_topology, complete_topology])
     def test_validation(self, builder):
@@ -104,11 +113,49 @@ class TestIslandModel:
         assert len(result.history) == 4
         assert set(result.history[0].keys()) == {0, 1}
 
-    def test_bad_topology_labels(self, sine_dataset, tiny_config):
-        g = nx.DiGraph()
-        g.add_nodes_from(["a", "b"])
-        with pytest.raises((ValueError, TypeError)):
-            IslandModel(sine_dataset, tiny_config, g)
+    def test_rejects_edges_outside_the_island_range(
+        self, sine_dataset, tiny_config
+    ):
+        for edges in (((0, 1), (1, -1)), ((-2, 0),), (("a", "b"),)):
+            with pytest.raises(ValueError):
+                IslandModel(sine_dataset, tiny_config, edges)
+
+    @pytest.mark.parametrize("name, topology, sent, accepted, history", [
+        ("ring", ring_topology(3), 6, 3, [
+            (54.323922388506524, 54.323922388506524, 49.92984248553971),
+            (61.927470913176904, 61.527052330472344, 61.927470913176904),
+            (61.927470913176904, 61.527052330472344, 61.927470913176904),
+        ]),
+        ("star", star_topology(3), 8, 4, [
+            (54.323922388506524, 54.323922388506524, 54.323922388506524),
+            (61.527052330472344, 61.527052330472344, 56.72707445390033),
+            (61.527052330472344, 61.527052330472344, 56.72707445390033),
+        ]),
+        ("torus", torus_topology(2, 2), 16, 8, [
+            (54.323922388506524, 54.323922388506524, 54.323922388506524,
+             52.3292107433117),
+            (65.12595215277713, 61.12577939527158, 65.12595215277713,
+             65.12595215277713),
+            (65.12595215277713, 61.12577939527158, 72.72693552766368,
+             65.12595215277713),
+        ]),
+    ])
+    def test_runs_are_pinned(
+        self, sine_dataset, tiny_config, name, topology, sent, accepted,
+        history,
+    ):
+        """Migration counts and per-round best fitness, bit for bit, as
+        recorded when topologies were still networkx digraphs (whose
+        edge iteration order the builders reproduce)."""
+        result = IslandModel(
+            sine_dataset, tiny_config.replace(generations=90), topology,
+            migration_interval=30, root_seed=11,
+        ).run()
+        assert result.migrations_sent == sent
+        assert result.migrations_accepted == accepted
+        assert [
+            tuple(h[i] for i in range(len(h))) for h in result.history
+        ] == history
 
     def test_validation(self, sine_dataset, tiny_config):
         with pytest.raises(ValueError):

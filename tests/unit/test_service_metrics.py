@@ -76,6 +76,16 @@ class TestCounter:
         body = [ln for ln in c.render() if not ln.startswith("#")]
         assert body == ['reqs{code="200"} 1', 'reqs{code="500"} 1']
 
+    def test_set_total_mirrors_and_refuses_decrease(self):
+        c = Counter("events_total", "events")
+        c.set_total(0)
+        assert c.render()[-1] == "events_total 0"
+        c.set_total(7)
+        c.set_total(3)  # a shrinking source never lowers the counter
+        assert c.value() == 7
+        c.set_total(9)
+        assert c.value() == 9
+
     def test_gauge_goes_both_ways(self):
         g = Gauge("depth", "queue depth")
         g.set(5)
@@ -348,6 +358,88 @@ class TestAdaptationMetrics:
         assert 'model="m"' not in server.render_metrics()
 
 
+def _total_family_types(scrape: str):
+    """``{family: TYPE}`` for every family with a ``*_total`` sample."""
+    types = {}
+    for line in scrape.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, name, kind = line.split()
+            types[name] = kind
+    samples = {
+        line.split("{")[0].split(" ")[0]
+        for line in scrape.splitlines()
+        if line and not line.startswith("#")
+    }
+    return {
+        name: types.get(name) for name in samples if name.endswith("_total")
+    }
+
+
+#: Mirrored totals every scrape below must expose (beyond the server's
+#: own request counters), so the type check cannot pass vacuously.
+_MIRRORED_TOTALS = {
+    "repro_gateway_events_total",
+    "repro_gateway_micro_batches_total",
+    "repro_gateway_evicted_streams_total",
+    "repro_adaptation_drift_events_total",
+    "repro_policy_evaluated_total",
+    "repro_policy_reasons_total",
+}
+
+
+class TestTotalsAreCounters:
+    """Every ``*_total`` family in a scrape is typed ``counter``."""
+
+    def _pool(self):
+        import numpy as np
+
+        from repro.core.predictor import RuleSystem
+        from repro.core.rule import Rule
+
+        return RuleSystem([
+            Rule.from_box(np.full(2, -10.0), np.full(2, 10.0), prediction=1.0)
+        ])
+
+    def _assert_counters(self, scrape):
+        families = _total_family_types(scrape)
+        assert _MIRRORED_TOTALS <= set(families), sorted(families)
+        assert {n: k for n, k in families.items() if k != "counter"} == {}
+
+    def test_single_process_server(self):
+        from repro.service import ForecastServer, ForecastService
+        from repro.service.policy import PolicyEngine, PolicySpec
+
+        class _Hook:
+            def on_batch(self, batch, results, ready, stacks):
+                pass
+
+            def stats(self):
+                return {"drift_events": 1, "retrains": 0, "promotions": 0,
+                        "rollbacks": 0, "shadow": {}}
+
+        service = ForecastService()
+        service.bind_system("tide", self._pool(), "m")
+        service.attach_policy(PolicyEngine(PolicySpec(alert_above=0.5)))
+        service.attach_adaptation(_Hook())
+        service.ingest([("tide", 0.1), ("tide", 0.2), ("tide", 0.3)])
+        self._assert_counters(ForecastServer(service).render_metrics())
+
+    def test_sharded_server(self):
+        from repro.service import ForecastServer
+        from repro.service.sharding import ShardConfig, ShardedForecastService
+
+        pool = self._pool()
+        with ShardedForecastService(config=ShardConfig(workers=2)) as svc:
+            for name in ("a", "b", "c"):
+                svc.bind_system(name, pool, model="m")
+            svc.attach_policy({"alert_above": 0.5})
+            svc.attach_shadow("m", 0, pool, challenger_version=1)
+            for v in (0.1, 0.2, 0.3):
+                svc.ingest([("a", v), ("b", v), ("c", v)])
+            scrape = ForecastServer(svc).render_metrics()
+        self._assert_counters(scrape)
+
+
 class TestRegistry:
     def test_idempotent_creation(self):
         r = MetricsRegistry()
@@ -408,16 +500,16 @@ def _golden_registry() -> MetricsRegistry:
     per_stream.observe(0.04, stream="gauge-chioggia")
     per_stream.observe(0.2, stream="gauge-burano")
     per_stream.observe(0.004, stream="gauge-murano")
-    evicted = r.gauge(
+    evicted = r.counter(
         "repro_gateway_evicted_streams_total",
         "Streams evicted by the store's TTL/LRU policy.",
     )
-    evicted.set(2)
-    drift = r.gauge(
+    evicted.set_total(2)
+    drift = r.counter(
         "repro_adaptation_drift_events_total",
         "Drift events the monitor has fired.",
     )
-    drift.set(4)
+    drift.set_total(4)
     shadow = r.gauge(
         "repro_adaptation_shadow_error",
         "Mean absolute shadow-comparison error per model, by role.",
@@ -425,23 +517,23 @@ def _golden_registry() -> MetricsRegistry:
     )
     shadow.set(0.8125, model="tide-lr", role="champion")
     shadow.set(0.5, model="tide-lr", role="challenger")
-    policy_eval = r.gauge(
+    policy_eval = r.counter(
         "repro_policy_evaluated_total",
         "Forecasts the policy engine evaluated.",
     )
-    policy_eval.set(24)
-    policy_alerts = r.gauge(
+    policy_eval.set_total(24)
+    policy_alerts = r.counter(
         "repro_policy_alerts_total", "Alert decisions emitted."
     )
-    policy_alerts.set(3)
-    reasons = r.gauge(
+    policy_alerts.set_total(3)
+    reasons = r.counter(
         "repro_policy_reasons_total",
         "Decision reason codes emitted, by code.",
         ["reason"],
     )
-    reasons.set(3, reason="threshold-above")
-    reasons.set(5, reason="not-ready")
-    reasons.set(1, reason="rate-limited")
+    reasons.set_total(3, reason="threshold-above")
+    reasons.set_total(5, reason="not-ready")
+    reasons.set_total(1, reason="rate-limited")
     return r
 
 
